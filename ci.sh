@@ -233,6 +233,15 @@ echo "== data-path stress (batched SPSC + Chase-Lev deque, named rerun) =="
 cargo test --release --offline -p fastflow --test batch
 cargo test --release --offline -p tbbx --test deque_stress
 
+echo "== hand-off liveness (lock-step sources at the default burst, named rerun) =="
+# A source that yields item k only after the sink received item k-1 must
+# finish through a node stage, an ordered farm, run_ordered and
+# run_placed: no stage may hold a ready item in a half-filled burst.
+cargo test --release --offline --test handoff_liveness
+
+echo "== end-to-end benchmark's own tests (reconciliation, oracles, fault ladder) =="
+cargo test --release --offline --manifest-path e2ebench/Cargo.toml
+
 echo "== pool stress + steady-state allocation gate (named rerun) =="
 # Same deal: the buffer-pool MPMC stress and the zero-allocation
 # steady-state gate get their own CI log lines.

@@ -6,6 +6,7 @@
 //! stage sees EOS when its upstream channel closes and propagates it by
 //! dropping its own sender.
 
+use std::cell::Cell;
 use std::thread::{self, JoinHandle};
 
 use telemetry::{Recorder, StageHandle};
@@ -20,11 +21,11 @@ use crate::wait::WaitStrategy;
 /// local buffer and are delivered with [`Sender::send_batch`] — one index
 /// publication and one wakeup per run instead of one per item.
 ///
-/// Two flush points keep the pipe live and the memory bounded: the buffer
-/// flushes itself when it reaches `burst` items, and every stage loop
-/// flushes explicitly before blocking for more input (so no item can sit
-/// buffered while the stage sleeps — the batched path never adds a
-/// deadlock or an unbounded latency tail).
+/// The buffer flushes itself when it reaches `burst` items, and every node
+/// stage loop flushes explicitly before blocking for more input, so no item
+/// sits buffered while its stage sleeps. Source stages use a burst of 1:
+/// their closure is opaque and may block anywhere with nothing to flush
+/// before it, so they publish each item as it is emitted.
 pub(crate) struct BatchSink<T: Send> {
     tx: Sender<Stamped<T>>,
     buf: Vec<Stamped<T>>,
@@ -101,42 +102,26 @@ pub(crate) fn send_batch_accounted<T: Send>(
     if tx.free_slots() < buf.len() {
         stage.push_stall();
     }
-    let counts: Vec<u64> = buf.iter().map(&count).collect();
-    let mut delivered = 0usize;
-    let mut ok = true;
-    let mut iter = buf.drain(..);
+    // Items the ring has taken since the last `items_out`: the iterator
+    // only yields a message when it is about to be pushed.
+    let taken = Cell::new(0u64);
+    let mut iter = buf.drain(..).inspect(|m| taken.set(taken.get() + count(m)));
     loop {
-        match tx.try_send_batch(&mut iter) {
-            Ok(n) => {
-                if n > 0 {
-                    stage.items_out(counts[delivered..delivered + n].iter().sum());
-                    delivered += n;
+        if tx.try_send_batch(&mut iter).is_err() {
+            return false;
+        }
+        stage.items_out(taken.replace(0));
+        match iter.next() {
+            None => return true,
+            // The ring is full: wait for room for one, then retry the run.
+            Some(msg) => {
+                if tx.send(msg).is_err() {
+                    return false; // the remainder is discarded with `iter`
                 }
-                match iter.next() {
-                    None => break,
-                    Some(msg) => {
-                        let c = counts[delivered];
-                        match tx.send(msg) {
-                            Ok(()) => {
-                                stage.items_out(c);
-                                delivered += 1;
-                            }
-                            Err(_) => {
-                                ok = false;
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-            Err(_) => {
-                ok = false;
-                break;
+                stage.items_out(taken.replace(0));
             }
         }
     }
-    drop(iter); // discards the remainder once downstream is gone
-    ok
 }
 
 /// Burst-drain up to `max` items into `out`, counting a pop wait when the
@@ -172,7 +157,10 @@ pub struct PipeConfig {
     pub wait: WaitStrategy,
     /// Maximum run length of the batched queue operations: a stage drains
     /// up to this many queued items per acquire/release pair and buffers at
-    /// most this many outputs before publishing them in one go. `1`
+    /// most this many outputs before publishing them in one go. Node stages
+    /// also publish what they hold before blocking for more input, and
+    /// source stages publish every item as emitted, so a stage never sleeps
+    /// on an item its consumer could use. `1`
     /// reproduces the pre-batching item-at-a-time data path.
     pub burst: usize,
 }
@@ -245,11 +233,12 @@ impl PipelineStart {
     {
         let (tx, rx) = channel::<Stamped<T>>(self.cfg.capacity, self.cfg.wait);
         let stage = self.rec.stage("source", 0);
-        let burst = self.cfg.burst;
         let handle = thread::Builder::new()
             .name("ff-source".into())
             .spawn(move || {
-                let mut bsink = BatchSink::new(tx, stage, burst);
+                // Burst 1: `f` may block between items, and a buffered item
+                // would wait out that block with no one to flush it.
+                let mut bsink = BatchSink::new(tx, stage, 1);
                 {
                     let mut push = |item: T| bsink.push_fresh(item);
                     let mut em = Emitter::new(&mut push);

@@ -26,15 +26,35 @@ pub enum WaitStrategy {
 const SPIN_LIMIT: u32 = 64;
 const YIELD_LIMIT: u32 = 128;
 
-/// An epoch-counting wakeup signal.
+/// An epoch-counting wakeup signal whose notify is free when nobody sleeps.
 ///
 /// The epoch counter makes the classic "missed wakeup" race benign: a waiter
 /// snapshots the epoch, re-checks its condition, and only parks if the epoch
 /// is unchanged — any notification between snapshot and park bumps the epoch
 /// and the park is skipped.
+///
+/// The waiter count lets [`Signal::notify`] skip the mutex and the futex
+/// entirely while no thread is parked, which is the common case in a busy
+/// pipeline. It is a Dekker handshake between two `SeqCst` pairs:
+///
+/// * a waiter increments `waiters` (under the lock), *then* re-reads
+///   `epoch`;
+/// * a notifier increments `epoch`, *then* reads `waiters`.
+///
+/// All four operations sit in one total order. If the waiter's epoch
+/// re-read comes first, its increment precedes it, so the notifier's read
+/// that follows its own bump sees `waiters >= 1`, takes the lock and wakes
+/// it. The waiter holds the lock from its increment until the condvar
+/// atomically releases it on parking, so that wakeup cannot slip in before
+/// the park. Otherwise the notifier's bump comes first and the re-read sees
+/// the new epoch, so the waiter never parks. Either way no wakeup is lost.
+/// The epoch bump is also a release: a waiter whose snapshot already
+/// includes it sees the data published before it and does not park at all.
 #[derive(Default)]
 pub struct Signal {
     epoch: AtomicUsize,
+    /// Threads currently inside [`Signal::wait_if`].
+    waiters: AtomicUsize,
     lock: Mutex<()>,
     cond: Condvar,
 }
@@ -51,23 +71,37 @@ impl Signal {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// Wake all current waiters.
+    /// Wake all current waiters. Without a parked waiter this is one atomic
+    /// increment and one load: no lock, no syscall.
     #[inline]
     pub fn notify(&self) {
-        self.epoch.fetch_add(1, Ordering::Release);
-        // Lock/unlock orders the epoch bump before any waiter's re-check
-        // under the same mutex, then wake everyone.
-        drop(self.lock.lock().unwrap());
-        self.cond.notify_all();
+        self.epoch.fetch_add(1, Ordering::SeqCst);
+        if self.waiters.load(Ordering::SeqCst) != 0 {
+            // A waiter registered before our bump: the lock is released
+            // only once it is parked (or has seen the bump and left).
+            drop(self.lock.lock().unwrap());
+            self.cond.notify_all();
+        }
+    }
+
+    /// True while some thread is parked (or about to park) in
+    /// [`Signal::wait_if`]. Advisory: it may change right after the read.
+    #[inline]
+    pub fn has_waiters(&self) -> bool {
+        self.waiters.load(Ordering::Relaxed) != 0
     }
 
     /// Park until the epoch moves past `observed` (returns immediately if it
     /// already has).
     pub fn wait_if(&self, observed: usize) {
         let mut guard = self.lock.lock().unwrap();
-        while self.epoch.load(Ordering::Acquire) == observed {
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        while self.epoch.load(Ordering::SeqCst) == observed {
             guard = self.cond.wait(guard).unwrap();
         }
+        // Relaxed: the count publishes no data, and a notifier that still
+        // reads this waiter only pays for one spurious wakeup.
+        self.waiters.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -151,6 +185,45 @@ mod tests {
         let e = sig.epoch();
         sig.notify();
         sig.wait_if(e); // must not hang
+    }
+
+    #[test]
+    fn notify_without_waiters_takes_no_lock() {
+        // Hold the signal's mutex on this thread; a notify that tried to
+        // take it would block until the lock is released below.
+        let sig = Arc::new(Signal::new());
+        let guard = sig.lock.lock().unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let sig2 = Arc::clone(&sig);
+        let notifier = thread::spawn(move || {
+            for _ in 0..1000 {
+                sig2.notify();
+            }
+            done_tx.send(()).unwrap();
+        });
+        let returned = done_rx.recv_timeout(Duration::from_secs(10)).is_ok();
+        drop(guard);
+        notifier.join().unwrap();
+        assert!(
+            returned,
+            "notify blocked on the mutex with no waiter parked"
+        );
+        assert_eq!(sig.epoch(), 1000);
+        assert!(!sig.has_waiters());
+    }
+
+    #[test]
+    fn parked_waiter_is_counted_and_woken() {
+        let sig = Arc::new(Signal::new());
+        let e = sig.epoch();
+        let sig2 = Arc::clone(&sig);
+        let waiter = thread::spawn(move || sig2.wait_if(e));
+        while !sig.has_waiters() {
+            thread::yield_now();
+        }
+        sig.notify();
+        waiter.join().unwrap();
+        assert!(!sig.has_waiters());
     }
 
     #[test]

@@ -2,7 +2,11 @@
 //! sequence, tiny queues, every wait strategy — the configurations where
 //! ordering and EOS bugs hide.
 
-use fastflow::{node, Emitter, Node, Pipeline, SchedPolicy, WaitStrategy};
+use std::sync::mpsc;
+use std::thread;
+use std::time::Duration;
+
+use fastflow::{channel, node, Emitter, Node, Pipeline, SchedPolicy, WaitStrategy};
 
 #[test]
 fn deep_pipeline_with_two_farms_preserves_order() {
@@ -122,4 +126,40 @@ fn many_replicas_more_than_items() {
         .farm_ordered(16, |_| node::map(|x: u64| x * 7))
         .collect();
     assert_eq!(out, vec![0, 7, 14, 21, 28]);
+}
+
+#[test]
+fn block_mode_ping_pong_never_loses_a_wakeup() {
+    // Two capacity-1 Block-mode channels in a loop: every round trip
+    // hands the token across twice, and with one item in flight each side
+    // parks on almost every hop. A notify that skipped a parked waiter
+    // would hang here, so the watchdog turns a lost wakeup into a failure.
+    const ROUNDS: u64 = 100_000;
+    let (ping_tx, ping_rx) = channel::<u64>(1, WaitStrategy::Block);
+    let (pong_tx, pong_rx) = channel::<u64>(1, WaitStrategy::Block);
+    let echo = thread::spawn(move || {
+        while let Some(v) = ping_rx.recv() {
+            if pong_tx.send(v + 1).is_err() {
+                break;
+            }
+        }
+        ping_rx
+    });
+    let (done_tx, done_rx) = mpsc::channel();
+    let pinger = thread::spawn(move || {
+        for i in 0..ROUNDS {
+            ping_tx.send(i).unwrap();
+            assert_eq!(pong_rx.recv(), Some(i + 1));
+        }
+        drop(ping_tx);
+        done_tx.send(()).unwrap();
+        pong_rx
+    });
+    if done_rx.recv_timeout(Duration::from_secs(120)).is_err() {
+        panic!("ping-pong stalled: a Block-mode wakeup was lost");
+    }
+    let pong_rx = pinger.join().unwrap();
+    let ping_rx = echo.join().unwrap();
+    assert!(!pong_rx.items_signal().has_waiters());
+    assert!(!ping_rx.items_signal().has_waiters());
 }

@@ -79,6 +79,31 @@ fn list_segments(dir: &Path) -> Result<Vec<SequenceNo>, IngressError> {
     Ok(bases)
 }
 
+/// Open the idx of segment `base`, one of `bases` (as listed). A missing
+/// idx is `Ok(None)` — retry later — only while the segment is the newest
+/// and its log holds no complete record yet: a segment a writer is just
+/// creating. A missing idx next to records (a crash, or a directory from
+/// a log-first writer) is an error, so a reader never silently stops
+/// short of records it cannot locate.
+fn open_idx(
+    dir: &Path,
+    base: SequenceNo,
+    bases: &[SequenceNo],
+) -> Result<Option<File>, IngressError> {
+    match File::open(seg_path(dir, base, "idx")) {
+        Ok(f) => Ok(Some(f)),
+        Err(e)
+            if e.kind() == std::io::ErrorKind::NotFound
+                && bases.last() == Some(&base)
+                && fs::metadata(seg_path(dir, base, "log"))
+                    .map_or(true, |m| m.len() < REC_HEADER as u64) =>
+        {
+            Ok(None)
+        }
+        Err(e) => Err(e.into()),
+    }
+}
+
 /// Scan one segment from the front, validating records. Returns
 /// `(next_seq, good_bytes, positions)`: the sequence after the last
 /// intact record, the byte length of the intact prefix, and the byte
@@ -155,14 +180,9 @@ impl ShardWriter {
         };
         let log_path = seg_path(&dir, base, "log");
         let idx_path = seg_path(&dir, base, "idx");
-        // `truncate(false)`: keep the intact prefix; the explicit
-        // `set_len` below trims exactly the torn tail.
-        let log = OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .write(true)
-            .open(&log_path)?;
-        log.set_len(good)?;
+        // The idx is created before the log: readers discover segments by
+        // their `.log`, so a listed segment always has its idx.
+        //
         // The log and idx can be torn *independently* (the log buffer
         // flushes to the OS far more often than the 16-byte-per-record
         // idx buffer, and a crash can land between the two syncs), so
@@ -177,6 +197,14 @@ impl ShardWriter {
             .read(true)
             .write(true)
             .open(&idx_path)?;
+        // `truncate(false)`: keep the intact prefix; the explicit
+        // `set_len` below trims exactly the torn tail.
+        let log = OpenOptions::new()
+            .create(true)
+            .truncate(false)
+            .write(true)
+            .open(&log_path)?;
+        log.set_len(good)?;
         let mut valid = 0usize;
         {
             let mut rdr = BufReader::new(&idx);
@@ -220,16 +248,18 @@ impl ShardWriter {
     fn roll(&mut self) -> Result<(), IngressError> {
         self.sync()?;
         self.base = self.next_seq;
-        let log = OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .write(true)
-            .open(seg_path(&self.dir, self.base, "log"))?;
+        // Idx first, as in `open`: the `.log` is what makes the segment
+        // visible to readers.
         let idx = OpenOptions::new()
             .create(true)
             .truncate(false)
             .write(true)
             .open(seg_path(&self.dir, self.base, "idx"))?;
+        let log = OpenOptions::new()
+            .create(true)
+            .truncate(false)
+            .write(true)
+            .open(seg_path(&self.dir, self.base, "log"))?;
         self.log = BufWriter::new(log);
         self.idx = BufWriter::new(idx);
         self.seg_bytes = 0;
@@ -476,7 +506,9 @@ impl ShardReader {
                 bases[0]
             }
         };
-        let mut idx = File::open(seg_path(&self.dir, base, "idx"))?;
+        let Some(mut idx) = open_idx(&self.dir, base, &bases)? else {
+            return Ok(false);
+        };
         let entry = self.next_seq - base;
         if idx.metadata()?.len() < (entry + 1) * IDX_ENTRY as u64 {
             // Not indexed yet: either not written, or the tail segment
@@ -513,7 +545,9 @@ impl ShardReader {
         };
         // Only called when a later segment covers next_seq; open it at
         // the indexed position.
-        let mut idx = File::open(seg_path(&self.dir, base, "idx"))?;
+        let Some(mut idx) = open_idx(&self.dir, base, bases)? else {
+            return Ok(false);
+        };
         let entry = self.next_seq - base;
         if idx.metadata()?.len() < (entry + 1) * IDX_ENTRY as u64 {
             return Ok(false);
@@ -1245,6 +1279,52 @@ mod tests {
         while src.next_batch(&mut msgs, 8).expect("read") > 0 {}
         assert_eq!(msgs.len(), 1);
         assert_eq!(&msgs[0].payload[..], b"pending");
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn missing_idx_is_not_yet_only_for_an_empty_newest_segment() {
+        let root = tmpdir("noidx");
+        {
+            let mut sink = FileLogSink::open(&root, &key(), 1)
+                .expect("open")
+                .with_segment_bytes(64);
+            for i in 0..6u8 {
+                sink.send(ShardId(0), &[i; 24]).expect("send");
+            }
+            sink.flush().expect("flush");
+        }
+        let dir = shard_dir(&root.join("t"), ShardId(0));
+        let bases = list_segments(&dir).expect("list");
+        assert!(bases.len() > 1, "tiny threshold must roll");
+        let newest = *bases.last().expect("a segment");
+        fs::remove_file(seg_path(&dir, newest, "idx")).expect("drop newest idx");
+
+        // The newest log holds records the reader cannot locate: that is
+        // an error, not an endless "nothing yet".
+        let mut src =
+            FileLogSource::open_replay(&root, &key(), fastflow::BufPool::new()).expect("open");
+        let mut msgs = Vec::new();
+        let mut failed = false;
+        for _ in 0..10 {
+            match src.next_batch(&mut msgs, 8) {
+                Ok(_) => {}
+                Err(_) => {
+                    failed = true;
+                    break;
+                }
+            }
+        }
+        assert!(failed, "records past a lost idx were silently cut off");
+        assert_eq!(msgs.len() as u64, newest, "older segments still read");
+
+        // A newest segment a writer is only just creating — an empty log,
+        // its idx not there yet — reads as "not yet".
+        let fresh = newest + 100;
+        File::create(seg_path(&dir, fresh, "log")).expect("empty log");
+        let bases = list_segments(&dir).expect("list");
+        assert!(open_idx(&dir, fresh, &bases).expect("not yet").is_none());
+        assert!(open_idx(&dir, newest, &bases).is_err(), "no longer newest");
         let _ = fs::remove_dir_all(&root);
     }
 }

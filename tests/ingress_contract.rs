@@ -13,6 +13,9 @@
 //!   the same order with the same bytes, from `Beginning` or any `At`.
 //! * **Backpressure** — a full pipeline channel blocks the pump, not
 //!   the test: a slow consumer drains everything, no deadlock.
+//! * **Reads across live segment rolls** — a realtime reader polling a
+//!   shard whose writer rolls segments every few records never errors
+//!   and reads each record exactly once.
 //! * **Pinned zero-copy landing** — payloads pulled through a
 //!   `workload::pinned_pool()` arrive in page-locked slabs and the
 //!   delta-scoped copy ledger stays at zero bytes.
@@ -237,6 +240,66 @@ fn seek_and_rewind_replay_deterministically() {
         src.seek(shard, SeqPos::End).expect("seek end");
     }
     assert!(drain(&mut src).is_empty(), "End means only-new-records");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn realtime_reader_survives_concurrent_segment_rolls() {
+    // A writer with a tiny segment size rolls every couple of records
+    // while a realtime reader polls the same shard: the reader may list
+    // a segment the writer has only just created, and must treat it as
+    // "not yet", never as an error.
+    const N: u64 = 200;
+    let root = temp_root("rolls");
+    let key = StreamKey::new("contract.rolls").expect("key");
+    drop(FileLogSink::open(&root, &key, 1).expect("create stream"));
+    let mut src =
+        FileLogSource::open_realtime(&root, &key, fastflow::BufPool::new()).expect("open realtime");
+
+    let (wroot, wkey) = (root.clone(), key.clone());
+    let writer = std::thread::spawn(move || {
+        let mut sink = FileLogSink::open(&wroot, &wkey, 1)
+            .expect("open sink")
+            .with_segment_bytes(48)
+            .with_max_in_flight(1);
+        for seq in 0..N {
+            sink.send(ShardId(0), &payload(0, seq)).expect("send");
+        }
+    });
+
+    let mut got = Vec::new();
+    let mut raw = Vec::new();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while (got.len() as u64) < N {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "reader stalled at {} records",
+            got.len()
+        );
+        raw.clear();
+        if src.next_batch(&mut raw, 8).expect("poll across a roll") == 0 {
+            std::thread::yield_now();
+            continue;
+        }
+        for m in raw.drain(..) {
+            got.push((m.seq, m.payload.to_vec()));
+        }
+    }
+    writer.join().expect("writer");
+
+    let expect: Vec<_> = (0..N).map(|seq| (seq, payload(0, seq))).collect();
+    assert_eq!(got, expect, "every record exactly once, in order");
+    let segments = std::fs::read_dir(root.join(key.as_str()).join("shard-0"))
+        .expect("shard dir")
+        .filter(|e| {
+            e.as_ref()
+                .is_ok_and(|e| e.file_name().to_string_lossy().ends_with(".log"))
+        })
+        .count();
+    assert!(
+        segments >= 24,
+        "only {segments} segments: the writer barely rolled"
+    );
     let _ = std::fs::remove_dir_all(&root);
 }
 
